@@ -260,46 +260,19 @@ std::unique_ptr<RegistryServer> RegistryServer::start(Registry& registry,
                                                       std::uint16_t port) {
   auto s = std::unique_ptr<RegistryServer>(new RegistryServer());
   s->registry_ = &registry;
-  try {
-    s->listen_ = net::listen_tcp(port, s->port_);
-  } catch (const std::exception&) {
+  RegistryServer* srv = s.get();
+  if (!s->acceptor_.start(port,
+                          [srv](net::Fd fd) { srv->session(std::move(fd)); }))
     return nullptr;
-  }
-  s->acceptor_ = std::thread(&RegistryServer::accept_loop, s.get());
   return s;
 }
 
-RegistryServer::~RegistryServer() { stop(); }
-
-void RegistryServer::stop() {
-  if (stop_.exchange(true)) return;
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads.swap(threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
-  listen_.reset();
-}
-
-void RegistryServer::accept_loop() {
-  while (!stop_.load()) {
-    if (!net::wait_readable(listen_.get(), 50)) continue;
-    bool dropped = false;
-    net::Fd conn = net::accept_conn(listen_.get(), &dropped);
-    if (!conn.valid()) continue;
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads_.emplace_back(&RegistryServer::session, this, std::move(conn));
-  }
-}
-
 void RegistryServer::session(net::Fd fd) {
+  const std::atomic<bool>& stopping = acceptor_.stopping();
   LineReader reader(fd.get());
   std::string line;
   std::string err;
-  while (!stop_.load()) {
+  while (!stopping.load()) {
     // Short poll per line so stop() is honored on an idle connection.
     err.clear();
     if (!reader.next(line, 50, &err)) {

@@ -28,14 +28,13 @@
 // stream unacceptable to every promoted replica.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "net/acceptor.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "repl/router.hpp"
@@ -106,23 +105,16 @@ class RegistryServer {
   /// cannot be bound. The Registry must outlive the server.
   static std::unique_ptr<RegistryServer> start(Registry& registry,
                                                std::uint16_t port);
-  ~RegistryServer();
 
-  std::uint16_t port() const { return port_; }
-  void stop();
+  std::uint16_t port() const { return acceptor_.port(); }
+  void stop() { acceptor_.stop(); }
 
  private:
   RegistryServer() = default;
-  void accept_loop();
   void session(net::Fd fd);
 
   Registry* registry_ = nullptr;
-  net::Fd listen_;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread acceptor_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;
+  net::Acceptor acceptor_;  // last: its sessions use registry_
 };
 
 /// Client-side cache of the map with epoch-based refresh. Connection

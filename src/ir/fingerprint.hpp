@@ -11,6 +11,15 @@
 namespace ilc::ir {
 
 std::uint64_t fingerprint(const Function& fn);
+/// Code, layout and global initial data: two programs that differ only in
+/// their data run differently.
 std::uint64_t fingerprint(const Module& mod);
+
+/// The global-initial-data part of fingerprint(mod). No pass changes it,
+/// so a caller fingerprinting many optimized variants of one program
+/// hashes the data once and passes it to the two-argument form, which
+/// equals fingerprint(mod).
+std::uint64_t data_fingerprint(const Module& mod);
+std::uint64_t fingerprint(const Module& mod, std::uint64_t data_fp);
 
 }  // namespace ilc::ir

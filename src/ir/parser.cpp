@@ -1,6 +1,7 @@
 #include "ir/parser.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "support/assert.hpp"
@@ -52,12 +53,14 @@ class LineParser {
 
   std::int64_t integer() {
     skip_ws();
-    std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-    if (pos_ == start) fail("expected integer");
-    return std::strtoll(s_.substr(start, pos_ - start).c_str(), nullptr, 10);
+    const char* first = s_.data() + pos_;
+    const char* const last = s_.data() + s_.size();
+    if (first != last && *first == '+') ++first;
+    std::int64_t value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc()) fail("expected integer");
+    pos_ = static_cast<std::size_t>(end - s_.data());
+    return value;
   }
 
   std::string word() {
@@ -267,6 +270,30 @@ Instr parse_instr(const std::string& line, std::size_t line_no) {
   return inst;
 }
 
+/// "N" of a "@N" global reference whose '@' was already consumed.
+GlobalId global_id(LineParser& lp) {
+  const std::int64_t id = lp.integer();
+  if (id < 0 || id >= kNoGlobal) lp.fail("bad global id");
+  return static_cast<GlobalId>(id);
+}
+
+/// The already declared global named by "@N".
+Global& declared_global(Module& mod, LineParser& lp) {
+  lp.expect("@");
+  const GlobalId id = global_id(lp);
+  if (id >= mod.globals().size()) lp.fail("undeclared global");
+  return mod.global(id);
+}
+
+/// Append the rest of the line's integers to `words`, at most `count`.
+void append_words(LineParser& lp, std::uint64_t count,
+                  std::vector<std::int64_t>& words) {
+  while (!lp.at_end()) {
+    if (words.size() >= count) lp.fail("more initializers than elements");
+    words.push_back(lp.integer());
+  }
+}
+
 }  // namespace
 
 Module parse_module(const std::string& text) {
@@ -329,7 +356,34 @@ Module parse_module(const std::string& text) {
           g.elem_width = static_cast<std::uint8_t>(width);
         }
       }
+      if (lp.eat("target=@")) g.ptr_target = global_id(lp);
       mod.add_global(std::move(g));
+      continue;
+    }
+    if (starts_with(line, "init ")) {
+      lp.expect("init");
+      Global& g = declared_global(mod, lp);
+      if (g.kind != GlobalKind::RawArray) lp.fail("init on a record array");
+      append_words(lp, g.count, g.init);
+      continue;
+    }
+    if (starts_with(line, "field_init ")) {
+      lp.expect("field_init");
+      Global& g = declared_global(mod, lp);
+      if (g.kind != GlobalKind::RecordArray)
+        lp.fail("field_init on a raw array");
+      const std::int64_t f = lp.integer();
+      const auto next = static_cast<std::int64_t>(g.field_init.size());
+      const auto nfields =
+          static_cast<std::int64_t>(mod.record(g.record).fields.size());
+      // Fields come in order; a repeated index continues that field.
+      if (f == next && f < nfields)
+        g.field_init.emplace_back();
+      else if (next == 0 || f != next - 1)
+        lp.fail("bad field index");
+      FieldInit& fi = g.field_init.back();
+      if (lp.eat("target=@")) fi.ptr_target = global_id(lp);
+      append_words(lp, g.count, fi.values);
       continue;
     }
     if (starts_with(line, "func ")) {
@@ -368,6 +422,22 @@ Module parse_module(const std::string& text) {
     ILC_CHECK_MSG(fn != nullptr && bb != nullptr,
                   "instruction outside block at line " << line_no);
     bb->insts.push_back(parse_instr(line, line_no));
+  }
+  // Initializers must be complete and point at declared globals, or
+  // building the memory image would read out of bounds.
+  for (const Global& g : mod.globals()) {
+    ILC_CHECK_MSG(g.ptr_target == kNoGlobal ||
+                      g.ptr_target < mod.globals().size(),
+                  "global " << g.name << " targets an undeclared global");
+    if (g.kind != GlobalKind::RecordArray) continue;
+    ILC_CHECK_MSG(g.field_init.empty() ||
+                      g.field_init.size() ==
+                          mod.record(g.record).fields.size(),
+                  "global " << g.name << " initializes only some fields");
+    for (const FieldInit& fi : g.field_init)
+      ILC_CHECK_MSG(fi.ptr_target == kNoGlobal ||
+                        fi.ptr_target < mod.globals().size(),
+                    "global " << g.name << " targets an undeclared global");
   }
   return mod;
 }

@@ -1,9 +1,8 @@
 // Parser for the textual IR form produced by printer.hpp, completing the
-// round trip: modules (records, global declarations, functions) can be
-// exchanged as text — e.g. stored in the knowledge base next to the
-// experiment that produced them. The format serializes code and
-// declarations; global *initial data* is not part of the text form (it
-// belongs to the program's build recipe / the KB record).
+// round trip: modules (records, globals with their initial data,
+// functions) can be exchanged as text — e.g. stored in the knowledge base
+// next to the experiment that produced them, or sent inline to the tuning
+// service. A parsed module runs exactly like the printed one.
 #pragma once
 
 #include <string>

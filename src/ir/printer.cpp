@@ -1,5 +1,6 @@
 #include "ir/printer.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace ilc::ir {
@@ -9,6 +10,24 @@ namespace {
 std::string reg_name(Reg r) {
   if (r == kNoReg) return "_";
   return "r" + std::to_string(r);
+}
+
+/// Initializer words per printed line. With the longest header and 64
+/// twenty-character words a line stays under 1.5 KB, well inside the
+/// service protocol's 4096-byte request line.
+constexpr std::size_t kInitWordsPerLine = 64;
+
+/// Print `values` as lines of `header` followed by up to
+/// kInitWordsPerLine words; at least one line, even when empty.
+void print_words(std::ostringstream& os, const std::string& header,
+                 const std::vector<std::int64_t>& values) {
+  std::size_t i = 0;
+  do {
+    os << header;
+    const std::size_t end = std::min(values.size(), i + kInitWordsPerLine);
+    for (; i < end; ++i) os << ' ' << values[i];
+    os << '\n';
+  } while (i < values.size());
 }
 
 }  // namespace
@@ -114,7 +133,18 @@ std::string to_string(const Module& mod) {
     else
       os << " width=" << (gl.elem_is_ptr ? mod.ptr_bytes() : gl.elem_width)
          << (gl.elem_is_ptr ? " ptr" : "");
+    if (gl.ptr_target != kNoGlobal) os << " target=@" << gl.ptr_target;
     os << "\n";
+    if (!gl.init.empty())
+      print_words(os, "init @" + std::to_string(g), gl.init);
+    for (std::size_t f = 0; f < gl.field_init.size(); ++f) {
+      const FieldInit& fi = gl.field_init[f];
+      std::string header =
+          "field_init @" + std::to_string(g) + " " + std::to_string(f);
+      if (fi.ptr_target != kNoGlobal)
+        header += " target=@" + std::to_string(fi.ptr_target);
+      print_words(os, header, fi.values);
+    }
   }
   for (const Function& fn : mod.functions()) os << to_string(fn);
   return os.str();

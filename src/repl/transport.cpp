@@ -46,51 +46,24 @@ std::unique_ptr<ShipServer> ShipServer::start(std::string dir,
   auto s = std::unique_ptr<ShipServer>(new ShipServer());
   s->dir_ = std::move(dir);
   s->opts_ = opts;
-  try {
-    s->listen_ = net::listen_tcp(port, s->port_);
-  } catch (const std::exception&) {
+  ShipServer* srv = s.get();
+  if (!s->acceptor_.start(port,
+                          [srv](net::Fd fd) { srv->session(std::move(fd)); }))
     return nullptr;
-  }
-  s->acceptor_ = std::thread(&ShipServer::accept_loop, s.get());
   return s;
-}
-
-ShipServer::~ShipServer() { stop(); }
-
-void ShipServer::stop() {
-  if (stop_.exchange(true)) return;
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads.swap(threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
-  listen_.reset();
-}
-
-void ShipServer::accept_loop() {
-  while (!stop_.load()) {
-    if (!net::wait_readable(listen_.get(), 50)) continue;
-    bool dropped = false;
-    net::Fd conn = net::accept_conn(listen_.get(), &dropped);
-    if (!conn.valid()) continue;
-    std::lock_guard<std::mutex> lk(threads_mu_);
-    threads_.emplace_back(&ShipServer::session, this, std::move(conn));
-  }
 }
 
 void ShipServer::session(net::Fd fd) {
   ActiveGuard guard(active_);
   const int interval = opts_.poll_interval_ms;
+  const std::atomic<bool>& stopping = acceptor_.stopping();
 
   // Phase 1: read the follower's Hello.
   MsgReader reader;
   Msg hello;
   char buf[4096];
   for (;;) {
-    if (stop_.load()) return;
+    if (stopping.load()) return;
     const MsgReader::Status st = reader.next(hello);
     if (st == MsgReader::Status::Ok) break;
     if (st == MsgReader::Status::Corrupt) return;
@@ -107,12 +80,12 @@ void ShipServer::session(net::Fd fd) {
   std::string out;
   std::string why;
   if (!src.handshake(hello, out, &why)) {
-    write_all(fd.get(), out, stop_, interval);
+    write_all(fd.get(), out, stopping, interval);
     return;
   }
 
   // Phase 3: stream until the follower drops or we stop.
-  while (!stop_.load()) {
+  while (!stopping.load()) {
     out.clear();
     if (!src.poll(out)) return;
     if (!out.empty()) {
@@ -120,10 +93,10 @@ void ShipServer::session(net::Fd fd) {
       // follower's MsgReader is left holding an undecodable tail it
       // drops on reconnect — no partial frame ever reaches its store.
       if (out.size() > 8 && support::failpoint("repl.ship")) {
-        write_all(fd.get(), out.substr(0, out.size() / 2), stop_, interval);
+        write_all(fd.get(), out.substr(0, out.size() / 2), stopping, interval);
         return;
       }
-      if (!write_all(fd.get(), out, stop_, interval)) return;
+      if (!write_all(fd.get(), out, stopping, interval)) return;
     }
     // Idle wait doubles as peer-death detection: the follower never
     // speaks after its Hello, so readability means EOF or an error.

@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/acceptor.hpp"
 #include "net/socket.hpp"
 #include "repl/applier.hpp"
 #include "repl/ship.hpp"
@@ -52,29 +53,21 @@ class ShipServer {
   static std::unique_ptr<ShipServer> start(std::string dir,
                                            std::uint16_t port,
                                            ShipServerOptions opts = {});
-  ~ShipServer();
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return acceptor_.port(); }
   /// Follower sessions currently streaming.
   std::size_t sessions() const { return active_.load(); }
 
-  void stop();
+  void stop() { acceptor_.stop(); }
 
  private:
   ShipServer() = default;
-  void accept_loop();
   void session(net::Fd fd);
 
   std::string dir_;
   ShipServerOptions opts_;
-  net::Fd listen_;
-  std::uint16_t port_ = 0;
-
-  std::atomic<bool> stop_{false};
   std::atomic<std::size_t> active_{0};
-  std::thread acceptor_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;  // session threads, joined on stop
+  net::Acceptor acceptor_;  // last: its sessions use the fields above
 };
 
 struct ShipClientOptions {

@@ -1,5 +1,7 @@
 #include "search/evaluator.hpp"
 
+#include <cassert>
+
 #include "ir/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
@@ -38,7 +40,9 @@ ir::Module& scratch_module() {
 }  // namespace
 
 Evaluator::Evaluator(const ir::Module& base, sim::MachineConfig cfg)
-    : base_(base), cfg_(std::move(cfg)) {}
+    : base_(base),
+      cfg_(std::move(cfg)),
+      data_fp_(ir::data_fingerprint(base_)) {}
 
 ir::Module Evaluator::optimized(const std::vector<opt::PassId>& seq) const {
   ir::Module m = base_;
@@ -70,48 +74,23 @@ EvalResult Evaluator::simulate(const ir::Module& optimized_mod,
 }
 
 EvalResult Evaluator::measure(const ir::Module& optimized_mod) {
-  const std::uint64_t fp = ir::fingerprint(optimized_mod);
+  // Passes leave global data alone, so the base program's data print
+  // stands for every candidate's.
+  assert(ir::data_fingerprint(optimized_mod) == data_fp_);
+  const std::uint64_t fp = ir::fingerprint(optimized_mod, data_fp_);
   if (!cache_enabled_) return simulate(optimized_mod, fp);
 
-  Shard& sh = shard_of(fp);
-  {
-    std::unique_lock<std::mutex> lock(sh.mu);
-    for (;;) {
-      auto it = sh.map.find(fp);
-      if (it == sh.map.end()) {
-        // Leader: claim the fingerprint, then simulate outside the lock.
-        sh.map.emplace(fp, Entry{});
-        break;
-      }
-      if (it->second.ready) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        c_eval_cache_hits().add(1);
-        return it->second.result;
-      }
-      // Follower: a leader is simulating this fingerprint right now.
-      sh.cv.wait(lock);
-    }
+  bool simulated = false;
+  EvalResult res = memo_[fp % kShards].get_or_compute(fp, [&] {
+    simulated = true;
+    return simulate(optimized_mod, fp);
+  });
+  // Not the leader: a memo hit, or a wait on another thread's in-flight
+  // simulation of this fingerprint.
+  if (!simulated) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    c_eval_cache_hits().add(1);
   }
-
-  EvalResult res;
-  try {
-    res = simulate(optimized_mod, fp);
-  } catch (...) {
-    // Release the claim so a waiting follower can take over (and observe
-    // the same trap by re-running), then propagate.
-    std::lock_guard<std::mutex> lock(sh.mu);
-    sh.map.erase(fp);
-    sh.cv.notify_all();
-    throw;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    Entry& e = sh.map[fp];
-    e.result = res;
-    e.ready = true;
-  }
-  sh.cv.notify_all();
   return res;
 }
 

@@ -5,11 +5,11 @@
 // collapses them (design decision #4 in DESIGN.md).
 //
 // Built for concurrent callers (the parallel GA and the tuning service):
-// the memo cache is striped across sharded mutexes so unrelated
-// fingerprints never contend, and each shard is single-flight — when two
-// workers miss on the same fingerprint simultaneously, one simulates and
-// the others block on the shard's condition variable until the result
-// lands, so every unique fingerprint is simulated exactly once. Candidate
+// the memo is striped across 16 unbounded support::SingleFlightCache
+// shards so unrelated fingerprints never contend, and each shard is
+// single-flight — when two workers miss on the same fingerprint
+// simultaneously, one simulates and the others wait for its result, so
+// every unique fingerprint is simulated exactly once. Candidate
 // materialization reuses a per-thread scratch module (copy-assignment into
 // retained capacity) instead of constructing a fresh deep copy per
 // candidate.
@@ -17,13 +17,11 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <unordered_map>
 
 #include "ir/module.hpp"
 #include "opt/pipelines.hpp"
 #include "sim/interpreter.hpp"
+#include "support/single_flight.hpp"
 
 namespace ilc::search {
 
@@ -65,25 +63,14 @@ class Evaluator {
   EvalResult measure(const ir::Module& optimized_mod);
   EvalResult simulate(const ir::Module& optimized_mod, std::uint64_t fp);
 
-  /// One stripe of the memo cache. An entry is inserted not-ready by the
-  /// thread that takes ownership of the simulation (the leader); followers
-  /// wait on the shard cv. Erased (and broadcast) if the leader throws.
-  struct Entry {
-    bool ready = false;
-    EvalResult result;
-  };
-  struct Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::unordered_map<std::uint64_t, Entry> map;
-  };
   static constexpr std::size_t kShards = 16;
-  Shard& shard_of(std::uint64_t fp) { return shards_[fp % kShards]; }
 
   ir::Module base_;
   sim::MachineConfig cfg_;
+  std::uint64_t data_fp_;  // ir::data_fingerprint(base_)
   bool cache_enabled_ = true;
-  std::array<Shard, kShards> shards_;
+  std::array<support::SingleFlightCache<std::uint64_t, EvalResult>, kShards>
+      memo_;  // unbounded; striped by fingerprint % kShards
   std::atomic<std::size_t> simulations_{0};
   std::atomic<std::size_t> cache_hits_{0};
 };

@@ -135,8 +135,13 @@ DecodedFunction decode_function(const ir::Module& mod, const ir::Function& fn,
 }  // namespace
 
 std::shared_ptr<const DecodedProgram> decode_program(const ir::Module& mod) {
+  return decode_program(mod, ir::fingerprint(mod));
+}
+
+std::shared_ptr<const DecodedProgram> decode_program(const ir::Module& mod,
+                                                     std::uint64_t fingerprint) {
   auto prog = std::make_shared<DecodedProgram>();
-  prog->fingerprint = ir::fingerprint(mod);
+  prog->fingerprint = fingerprint;
   prog->funcs.reserve(mod.functions().size());
   for (ir::FuncId id = 0; id < mod.functions().size(); ++id) {
     prog->funcs.push_back(decode_function(mod, mod.function(id), id,

@@ -135,7 +135,10 @@ struct DecodedProgram {
 
 /// Decode a module. Validates terminator targets, register references, and
 /// call arities (ILC_CHECK), so the execution loop can skip
-/// per-instruction asserts.
+/// per-instruction asserts. Callers that already hold the module's
+/// ir::fingerprint pass it to skip hashing the module again.
 std::shared_ptr<const DecodedProgram> decode_program(const ir::Module& mod);
+std::shared_ptr<const DecodedProgram> decode_program(const ir::Module& mod,
+                                                     std::uint64_t fingerprint);
 
 }  // namespace ilc::sim

@@ -36,6 +36,9 @@ ProgramCache& ProgramCache::instance() {
   return cache;
 }
 
+ProgramCache::ProgramCache(std::size_t capacity)
+    : cache_(capacity, [] { c_pc_evictions().add(1); }) {}
+
 std::shared_ptr<const DecodedProgram> ProgramCache::get(
     const ir::Module& mod) {
   return get(mod, ir::fingerprint(mod));
@@ -43,92 +46,15 @@ std::shared_ptr<const DecodedProgram> ProgramCache::get(
 
 std::shared_ptr<const DecodedProgram> ProgramCache::get(
     const ir::Module& mod, std::uint64_t fingerprint) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      auto it = map_.find(fingerprint);
-      if (it == map_.end()) break;
-      if (it->second.program != nullptr) {
-        ++hits_;
-        c_pc_hits().add(1);
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return it->second.program;
-      }
-      // Another thread is decoding this fingerprint right now: wait for
-      // it to publish instead of decoding a duplicate. Re-check from
-      // scratch after waking — the leader may have failed and erased the
-      // placeholder, making this thread the new leader.
-      cv_.wait(lock);
-    }
-    ++misses_;
+  bool decoded = false;
+  auto program = cache_.get_or_compute(fingerprint, [&] {
+    decoded = true;
     c_pc_misses().add(1);
-    map_.emplace(fingerprint, Entry{});  // pending: this thread leads
-  }
-
-  // Decode outside the lock so a slow decode never serializes unrelated
-  // lookups; followers of this fingerprint wait on cv_.
-  std::shared_ptr<const DecodedProgram> decoded;
-  try {
     obs::ScopedTimerUs timer(h_decode_us());
-    decoded = decode_program(mod);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(fingerprint);
-    if (it != map_.end() && it->second.program == nullptr) map_.erase(it);
-    cv_.notify_all();
-    throw;
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  // The placeholder is normally still ours, but clear() may have dropped
-  // it (and a new leader may have re-inserted one) while we decoded.
-  auto it = map_.find(fingerprint);
-  if (it == map_.end()) it = map_.emplace(fingerprint, Entry{}).first;
-  if (it->second.program == nullptr) {
-    it->second.program = decoded;
-    lru_.push_front(fingerprint);
-    it->second.lru_pos = lru_.begin();
-    // Evict published entries only (pending ones are absent from lru_).
-    while (lru_.size() > capacity_) {
-      map_.erase(lru_.back());
-      lru_.pop_back();
-      ++evictions_;
-      c_pc_evictions().add(1);
-    }
-  }
-  cv_.notify_all();
-  return decoded;
-}
-
-std::size_t ProgramCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
-}
-
-std::uint64_t ProgramCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t ProgramCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::uint64_t ProgramCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
-void ProgramCache::clear() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    lru_.clear();
-  }
-  // Leaders whose placeholder vanished re-insert on publish; wake any
-  // followers so they re-check rather than wait on an erased entry.
-  cv_.notify_all();
+    return decode_program(mod, fingerprint);
+  });
+  if (!decoded) c_pc_hits().add(1);
+  return program;
 }
 
 }  // namespace ilc::sim

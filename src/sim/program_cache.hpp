@@ -13,23 +13,18 @@
 // never invalidates a running Simulator. A bounded LRU keeps a long-lived
 // tuning service from accumulating one entry per candidate ever seen.
 //
-// Lookups are single-flight, mirroring the evaluator memo cache: when
-// several threads miss on the same fingerprint simultaneously (a parallel
-// GA generation full of identical offspring), the first inserts a pending
-// placeholder and decodes; the rest block on the condition variable and
-// pick up the published program. Every unique fingerprint is decoded
-// exactly once. Pending placeholders are not on the LRU list, so eviction
-// can never drop an in-flight decode.
+// Storage, LRU and single-flight fill are a support::SingleFlightCache:
+// when several threads miss on the same fingerprint simultaneously (a
+// parallel GA generation full of identical offspring), one decodes and the
+// rest wait for its program, so every unique fingerprint is decoded
+// exactly once, and an in-flight decode is never evicted.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "sim/decoded_program.hpp"
+#include "support/single_flight.hpp"
 
 namespace ilc::sim {
 
@@ -38,7 +33,7 @@ class ProgramCache {
   /// The process-wide instance used by Simulator construction.
   static ProgramCache& instance();
 
-  explicit ProgramCache(std::size_t capacity = 1024) : capacity_(capacity) {}
+  explicit ProgramCache(std::size_t capacity = 1024);
 
   /// Decoded program for `mod`, decoding on miss. Fingerprints the module;
   /// use the two-argument form when the caller already has the print.
@@ -47,29 +42,16 @@ class ProgramCache {
   std::shared_ptr<const DecodedProgram> get(const ir::Module& mod,
                                             std::uint64_t fingerprint);
 
-  std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
-  void clear();
+  std::size_t size() const { return cache_.size(); }
+  std::uint64_t hits() const { return cache_.hits(); }
+  std::uint64_t misses() const { return cache_.misses(); }
+  std::uint64_t evictions() const { return cache_.evictions(); }
+  void clear() { cache_.clear(); }
 
  private:
-  /// program == nullptr marks a pending entry: a leader thread is decoding
-  /// this fingerprint and will publish (or erase, on failure) under mu_.
-  /// lru_pos is valid only for published entries.
-  struct Entry {
-    std::shared_ptr<const DecodedProgram> program;
-    std::list<std::uint64_t>::iterator lru_pos;
-  };
-
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::list<std::uint64_t> lru_;  // front = most recently used; published only
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+  support::SingleFlightCache<std::uint64_t,
+                             std::shared_ptr<const DecodedProgram>>
+      cache_;
 };
 
 }  // namespace ilc::sim

@@ -37,6 +37,23 @@ obs::Counter& c_wrong_shard() {
   return c;
 }
 
+/// A successful response carrying `c`, searched or remembered; the caller
+/// stamps latency and metrics.
+TuningResponse answer(const std::string& program, const CachedResult& c,
+                      Source source) {
+  TuningResponse r;
+  r.ok = true;
+  r.program = program;
+  r.config = c.config;
+  r.baseline_metric = c.baseline_metric;
+  r.best_metric = c.best_metric;
+  r.speedup = c.best_metric ? static_cast<double>(c.baseline_metric) /
+                                  static_cast<double>(c.best_metric)
+                            : 0.0;
+  r.source = source;
+  return r;
+}
+
 }  // namespace
 
 struct TuningService::Job {
@@ -138,7 +155,10 @@ class TuningService::Completion {
 };
 
 TuningService::TuningService(Options opts)
-    : opts_(std::move(opts)), pool_(opts_.workers) {
+    : opts_(std::move(opts)),
+      evaluators_(opts_.evaluator_cache),
+      stale_(opts_.evaluator_cache),
+      pool_(opts_.workers) {
   if (!opts_.kb_path.empty()) {
     kbstore::Options kopts;
     // autosave=true means "durable after every search": flush per write.
@@ -192,6 +212,15 @@ std::shared_future<TuningResponse> TuningService::submit(
     }
     return ready_response(std::move(r));
   };
+  // A request refused before scheduling: ok=false, counted as an error.
+  const auto refused = [&](std::string error) {
+    TuningResponse r;
+    r.program = req.program;
+    r.error = std::move(error);
+    r.latency_us = elapsed_us(start);
+    metrics_.on_error(r.latency_us);
+    return resolved(std::move(r));
+  };
 
   auto module = std::make_shared<ir::Module>();
   try {
@@ -201,12 +230,7 @@ std::shared_future<TuningResponse> TuningService::submit(
       *module = wl::make_workload(req.program).module;
     }
   } catch (const std::exception& e) {
-    TuningResponse r;
-    r.program = req.program;
-    r.error = e.what();
-    r.latency_us = elapsed_us(start);
-    metrics_.on_error(r.latency_us);
-    return resolved(std::move(r));
+    return refused(e.what());
   }
 
   const std::uint64_t fp = ir::fingerprint(*module);
@@ -216,14 +240,10 @@ std::shared_future<TuningResponse> TuningService::submit(
   // results in this shard's KB (its replicas would diverge from the
   // owning shard's).
   if (opts_.shard_count > 1 && fp % opts_.shard_count != opts_.shard_index) {
-    TuningResponse r;
-    r.program = req.program;
-    r.error = "wrong shard: owner=" + std::to_string(fp % opts_.shard_count) +
-              " shards=" + std::to_string(opts_.shard_count);
-    r.latency_us = elapsed_us(start);
-    metrics_.on_error(r.latency_us);
     c_wrong_shard().add(1);
-    return resolved(std::move(r));
+    return refused("wrong shard: owner=" +
+                   std::to_string(fp % opts_.shard_count) +
+                   " shards=" + std::to_string(opts_.shard_count));
   }
 
   const std::string cache_key = ResultCache::key(fp, req.objective);
@@ -244,17 +264,7 @@ std::shared_future<TuningResponse> TuningService::submit(
 
     if (auto hit = cache_.lookup(cache_key, req.machine.name)) {
       lookup.annotate("outcome", "warm_hit");
-      TuningResponse r;
-      r.ok = true;
-      r.program = req.program;
-      r.config = hit->config;
-      r.baseline_metric = hit->baseline_metric;
-      r.best_metric = hit->best_metric;
-      r.speedup = hit->best_metric
-                      ? static_cast<double>(hit->baseline_metric) /
-                            static_cast<double>(hit->best_metric)
-                      : 0.0;
-      r.source = Source::WarmCache;
+      TuningResponse r = answer(req.program, *hit, Source::WarmCache);
       r.latency_us = elapsed_us(start);
       metrics_.on_warm_hit(r.latency_us);
       return resolved(std::move(r));
@@ -265,17 +275,7 @@ std::shared_future<TuningResponse> TuningService::submit(
     if (opts_.follower_lookup) {
       if (auto hit = opts_.follower_lookup(cache_key, req.machine.name)) {
         lookup.annotate("outcome", "follower_hit");
-        TuningResponse r;
-        r.ok = true;
-        r.program = req.program;
-        r.config = hit->config;
-        r.baseline_metric = hit->baseline_metric;
-        r.best_metric = hit->best_metric;
-        r.speedup = hit->best_metric
-                        ? static_cast<double>(hit->baseline_metric) /
-                              static_cast<double>(hit->best_metric)
-                        : 0.0;
-        r.source = Source::Follower;
+        TuningResponse r = answer(req.program, *hit, Source::Follower);
         r.latency_us = elapsed_us(start);
         metrics_.on_warm_hit(r.latency_us);
         c_follower_hits().add(1);
@@ -284,44 +284,30 @@ std::shared_future<TuningResponse> TuningService::submit(
     }
     if (opts_.read_only) {
       lookup.annotate("outcome", "read_only_miss");
-      TuningResponse r;
-      r.program = req.program;
-      r.error = "read-only follower: result not replicated yet; "
-                "ask the owning shard's primary";
-      r.latency_us = elapsed_us(start);
-      metrics_.on_error(r.latency_us);
-      return resolved(std::move(r));
+      return refused("read-only follower: result not replicated yet; "
+                     "ask the owning shard's primary");
     }
     // Bounded admission: a full queue sheds load instead of growing an
     // unbounded backlog of futures. Degrade gracefully when we can — the
     // stale map remembers the last computed result per flight (even one
     // whose KB persist failed), which beats an outright rejection.
     if (opts_.max_queue != 0 && queue_.size() >= opts_.max_queue) {
-      TuningResponse r;
-      r.program = req.program;
-      if (const auto st = stale_.find(flight_key); st != stale_.end()) {
+      if (const auto stale = stale_.find(flight_key)) {
         lookup.annotate("outcome", "stale");
-        const CachedResult& c = st->second.result;
-        r.ok = true;
-        r.config = c.config;
-        r.baseline_metric = c.baseline_metric;
-        r.best_metric = c.best_metric;
-        r.speedup = c.best_metric
-                        ? static_cast<double>(c.baseline_metric) /
-                              static_cast<double>(c.best_metric)
-                        : 0.0;
-        r.source = Source::StaleCache;
+        TuningResponse r =
+            answer(req.program, *stale, Source::StaleCache);
         r.latency_us = elapsed_us(start);
         metrics_.on_shed(r.latency_us);
-      } else {
-        lookup.annotate("outcome", "rejected");
-        r.ok = false;
-        r.error = "overloaded: admission queue full (max_queue=" +
-                  std::to_string(opts_.max_queue) + ")";
-        r.source = Source::Rejected;
-        r.latency_us = elapsed_us(start);
-        metrics_.on_rejected(r.latency_us);
+        return resolved(std::move(r));
       }
+      lookup.annotate("outcome", "rejected");
+      TuningResponse r;
+      r.program = req.program;
+      r.error = "overloaded: admission queue full (max_queue=" +
+                std::to_string(opts_.max_queue) + ")";
+      r.source = Source::Rejected;
+      r.latency_us = elapsed_us(start);
+      metrics_.on_rejected(r.latency_us);
       return resolved(std::move(r));
     }
     lookup.annotate("outcome", "miss");
@@ -377,7 +363,11 @@ TuningResponse TuningService::execute(const Job& job) {
   struct InjectedNonStdError {};
   if (support::failpoint("svc.eval_nonstd")) throw InjectedNonStdError{};
 
-  const std::shared_ptr<search::Evaluator> eval = evaluator_for(job);
+  const std::shared_ptr<search::Evaluator> eval =
+      evaluators_.get_or_compute(job.eval_key, [&job] {
+        return std::make_shared<search::Evaluator>(*job.module,
+                                                   job.request.machine);
+      });
 
   // Simulations attributed to this request. When two non-duplicate jobs
   // share an evaluator the split is approximate, but the metrics total is
@@ -425,22 +415,15 @@ TuningResponse TuningService::execute(const Job& job) {
     }
   }
 
-  TuningResponse r;
-  r.ok = true;
-  r.program = req.program;
-  if (trace.evaluations == 0 || trace.best_metric > base_metric) {
-    // Zero budget or a search that never beat -O0: serve the baseline.
-    r.config = "";
-    r.best_metric = base_metric;
-  } else {
-    r.config = search::sequence_to_string(trace.best_seq);
-    r.best_metric = trace.best_metric;
-  }
-  r.baseline_metric = base_metric;
-  r.speedup = r.best_metric ? static_cast<double>(base_metric) /
-                                  static_cast<double>(r.best_metric)
-                            : 0.0;
-  r.source = Source::Search;
+  // Zero budget or a search that never beat -O0: serve the baseline.
+  const bool beat_baseline =
+      trace.evaluations != 0 && trace.best_metric <= base_metric;
+  TuningResponse r = answer(
+      req.program,
+      beat_baseline ? CachedResult{search::sequence_to_string(trace.best_seq),
+                                   trace.best_metric, base_metric}
+                    : CachedResult{"", base_metric, base_metric},
+      Source::Search);
   r.simulations = eval->simulations() - sims_before;
   if (req.objective == search::Objective::Pareto) {
     // The -O0 configuration is always an available answer; folding it in
@@ -454,50 +437,6 @@ TuningResponse TuningService::execute(const Job& job) {
   }
   span.annotate("simulations", std::to_string(r.simulations));
   return r;
-}
-
-std::shared_ptr<search::Evaluator> TuningService::evaluator_for(
-    const Job& job) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (const auto it = evaluators_.find(job.eval_key);
-      it != evaluators_.end()) {
-    eval_lru_.splice(eval_lru_.begin(), eval_lru_, it->second.lru_it);
-    return it->second.eval;
-  }
-  auto eval =
-      std::make_shared<search::Evaluator>(*job.module, job.request.machine);
-  eval_lru_.push_front(job.eval_key);
-  evaluators_.emplace(job.eval_key, EvalSlot{eval, eval_lru_.begin()});
-  if (opts_.evaluator_cache != 0 &&
-      evaluators_.size() > opts_.evaluator_cache) {
-    evaluators_.erase(eval_lru_.back());
-    eval_lru_.pop_back();
-  }
-  return eval;
-}
-
-std::size_t TuningService::evaluator_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evaluators_.size();
-}
-
-void TuningService::remember_stale_locked(const std::string& flight_key,
-                                          const TuningResponse& resp) {
-  CachedResult result;
-  result.config = resp.config;
-  result.best_metric = resp.best_metric;
-  result.baseline_metric = resp.baseline_metric;
-  if (const auto it = stale_.find(flight_key); it != stale_.end()) {
-    it->second.result = std::move(result);
-    stale_lru_.splice(stale_lru_.begin(), stale_lru_, it->second.lru_it);
-    return;
-  }
-  stale_lru_.push_front(flight_key);
-  stale_.emplace(flight_key, StaleSlot{std::move(result), stale_lru_.begin()});
-  if (opts_.evaluator_cache != 0 && stale_.size() > opts_.evaluator_cache) {
-    stale_.erase(stale_lru_.back());
-    stale_lru_.pop_back();
-  }
 }
 
 void TuningService::run_one() {
@@ -571,15 +510,13 @@ void TuningService::run_one() {
     obs::Span persist("svc.kb_persist");
     try {
       std::lock_guard<std::mutex> lock(mu_);
+      const CachedResult cached{resp.config, resp.best_metric,
+                                resp.baseline_metric};
       // Remember the result in memory first: even when the durable
       // publish below fails, overload can still serve it as stale.
-      remember_stale_locked(job->flight_key, resp);
+      stale_.put(job->flight_key, cached);
       if (support::failpoint("svc.persist"))
         throw support::FailpointError("injected svc.persist failure");
-      CachedResult cached;
-      cached.config = resp.config;
-      cached.best_metric = resp.best_metric;
-      cached.baseline_metric = resp.baseline_metric;
       cache_.store(job->cache_key, job->request.machine.name, cached);
       // In durable mode store() WAL-appends incrementally; autosave makes
       // the result durable before the client sees its response.
@@ -612,8 +549,7 @@ void TuningService::run_one() {
 bool TuningService::save() const {
   if (opts_.kb_path.empty()) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  if (cache_.durable()) return cache_.sync();
-  return cache_.save(opts_.kb_path);
+  return cache_.sync();
 }
 
 bool TuningService::save_to(const std::string& path) const {

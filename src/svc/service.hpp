@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -41,6 +40,7 @@
 #include "svc/cache.hpp"
 #include "svc/metrics.hpp"
 #include "svc/request.hpp"
+#include "support/single_flight.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ilc::svc {
@@ -134,9 +134,9 @@ class TuningService {
   /// Programs clustered into the seed bank (0 without seed_kb_path).
   std::size_t seed_bank_programs() const { return seed_bank_.num_programs(); }
   /// Evaluators currently cached (bounded by Options::evaluator_cache).
-  std::size_t evaluator_count() const;
-  /// Make the KB durable at Options::kb_path: syncs the store's WAL
-  /// (durable mode) or writes the CSV file. False when none configured.
+  std::size_t evaluator_count() const { return evaluators_.size(); }
+  /// Make the KB durable at Options::kb_path by syncing the store's WAL.
+  /// False when none is configured.
   bool save() const;
   /// Export the KB to an explicit path in the legacy CSV format.
   bool save_to(const std::string& path) const;
@@ -162,44 +162,33 @@ class TuningService {
   std::shared_future<TuningResponse> ready_response(TuningResponse r);
   void run_one();
   TuningResponse execute(const Job& job);
-  /// Fetch-or-create the job's evaluator, bumping it in the LRU order and
-  /// evicting beyond Options::evaluator_cache. Takes mu_.
-  std::shared_ptr<search::Evaluator> evaluator_for(const Job& job);
-  /// Remember a computed result for overload serving. Caller holds mu_.
-  void remember_stale_locked(const std::string& flight_key,
-                             const TuningResponse& resp);
 
   Options opts_;
   /// Immutable after construction; read concurrently by workers without
   /// locking (assign/seeds_for/estimator_for are const and pure).
   search::SeedBank seed_bank_;
 
-  mutable std::mutex mu_;  // guards cache_, queue_, inflight_, evaluators_
+  mutable std::mutex mu_;  // guards cache_, queue_, inflight_
   ResultCache cache_;
   std::uint64_t next_seq_ = 0;
   std::priority_queue<std::shared_ptr<Job>, std::vector<std::shared_ptr<Job>>,
                       JobOrder> queue_;
+  /// In-flight jobs by flight key. Duplicates coalesce asynchronously —
+  /// they attach a callback or share the future and never block — so this
+  /// is not a support::SingleFlightCache, whose followers wait.
   std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
   /// Evaluators are shared across requests keyed by module fingerprint +
-  /// machine, so repeat searches reuse memoized simulations. LRU-bounded
-  /// by Options::evaluator_cache; a running search keeps its (possibly
-  /// evicted) evaluator alive through its shared_ptr.
-  struct EvalSlot {
-    std::shared_ptr<search::Evaluator> eval;
-    std::list<std::string>::iterator lru_it;
-  };
-  std::unordered_map<std::string, EvalSlot> evaluators_;
-  std::list<std::string> eval_lru_;  // front = most recently used
+  /// machine (Job::eval_key), so repeat searches reuse memoized
+  /// simulations. LRU-bounded by Options::evaluator_cache; a running
+  /// search keeps its (possibly evicted) evaluator alive through its
+  /// shared_ptr. Single-flight: concurrent jobs build one evaluator.
+  support::SingleFlightCache<std::string, std::shared_ptr<search::Evaluator>>
+      evaluators_;
   /// Last computed result per flight key, kept in memory even when the
   /// KB persist failed — the overload path serves these as
   /// Source::StaleCache instead of shedding. Bounded alongside the
   /// evaluator cache (same cap, same LRU discipline).
-  struct StaleSlot {
-    CachedResult result;
-    std::list<std::string>::iterator lru_it;
-  };
-  std::unordered_map<std::string, StaleSlot> stale_;
-  std::list<std::string> stale_lru_;
+  support::SingleFlightCache<std::string, CachedResult> stale_;
 
   MetricsCollector metrics_;
 

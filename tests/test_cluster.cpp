@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +27,7 @@
 #include "cluster/scatter.hpp"
 #include "kbstore/store.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "repl/applier.hpp"
 #include "repl/router.hpp"
 #include "repl/ship.hpp"
@@ -507,6 +510,85 @@ TEST(ClusterRegistry, ClientsObserveTheEpochBumpOverTheWire) {
   ASSERT_TRUE(observer.refresh(&err)) << err;
   EXPECT_EQ(observer.router_shards()[0].primary, follower0);
 
+  server->stop();
+}
+
+// --- thread-per-connection servers under connection churn ------------------
+
+/// This process's virtual size in MB, from /proc/self/status.
+std::size_t vm_size_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0)
+      return std::stoul(line.substr(7)) / 1024;  // the line is in kB
+  return 0;
+}
+
+/// Threads the kernel still runs for this process. A finished session
+/// thread leaves this count even when nobody has joined it.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// Run `cycle` (one connect/close against a server) 8 times to warm up,
+/// then 64 times, and require VmSize to settle within 64 MB of where it
+/// was after the warm-up. A session thread that finished but was never
+/// joined keeps its stack mapped, 8 MB each: 64 of them grow VmSize by
+/// about 512 MB. Each cycle waits for its session thread to exit, so no
+/// two sessions overlap: overlapping thread starts make glibc reserve
+/// another 64 MB malloc arena, which would blur the measurement.
+void expect_churn_bounded(const std::function<void()>& cycle) {
+  const std::size_t idle_threads = live_threads();
+  const auto one_cycle = [&] {
+    cycle();
+    for (int i = 0; i < 2000 && live_threads() > idle_threads; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  for (int i = 0; i < 8; ++i) one_cycle();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::size_t before = vm_size_mb();
+  for (int i = 0; i < 64; ++i) one_cycle();
+  // Finished sessions are joined on the accept loop's next turn.
+  std::size_t after = vm_size_mb();
+  for (int i = 0; i < 40 && after >= before + 64; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    after = vm_size_mb();
+  }
+  EXPECT_LT(after, before + 64)
+      << "VmSize grew from " << before << " MB to " << after << " MB";
+}
+
+TEST(ServerChurn, RegistryServerJoinsFinishedSessions) {
+  obs::Registry metrics;
+  cluster::Registry registry(1, &metrics);
+  auto server = cluster::RegistryServer::start(registry, 0);
+  ASSERT_TRUE(server);
+  cluster::RegistryClient client({"127.0.0.1", server->port()});
+  expect_churn_bounded([&] {
+    std::string err;
+    ASSERT_TRUE(client.refresh(&err)) << err;  // one connection per call
+  });
+  server->stop();
+}
+
+TEST(ServerChurn, ShipServerJoinsFinishedSessions) {
+  // Sessions end before their Hello, so the store is never opened.
+  auto server = repl::ShipServer::start("cluster_churn_unused", 0);
+  ASSERT_TRUE(server);
+  expect_churn_bounded([&] {
+    net::Fd fd = net::connect_tcp(server->port());
+    ASSERT_TRUE(fd.valid());
+    // Hang up only once the session runs, so every cycle has a thread.
+    for (int i = 0; i < 2000 && server->sessions() == 0; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server->sessions(), 1u);
+  });
   server->stop();
 }
 

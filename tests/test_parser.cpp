@@ -1,7 +1,9 @@
 // Round-trip tests for the textual IR form: print -> parse -> print must
-// be a fixed point, and parsed functions must be structurally identical
-// (same fingerprints) for every workload in the suite — covering every
-// opcode, annotation, and declaration shape the printer can emit.
+// be a fixed point, and parsed modules must be identical (same function
+// and whole-module fingerprints, global initial data included) and run to
+// the same golden checksum for every workload in the suite — covering
+// every opcode, annotation, declaration and initializer shape the printer
+// can emit.
 #include <gtest/gtest.h>
 
 #include "ir/builder.hpp"
@@ -10,7 +12,10 @@
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "opt/pipelines.hpp"
+#include "sim/interpreter.hpp"
 #include "support/assert.hpp"
+#include "support/string_utils.hpp"
+#include "svc/protocol.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -37,6 +42,20 @@ TEST_P(ParserRoundTrip, FunctionFingerprintsSurvive) {
   EXPECT_EQ(verify(parsed), "");
 }
 
+TEST_P(ParserRoundTrip, ParsedModuleKeepsItsDataAndRuns) {
+  // Initial data travels with the text (inline modules sent to the
+  // service), so the parsed program computes the golden checksum and
+  // shares the original's cache key.
+  const wl::Workload w = wl::make_workload(GetParam());
+  const std::string text = to_string(w.module);
+  for (const std::string& line : support::split(text, '\n'))
+    EXPECT_LE(line.size(), svc::kMaxRequestLine);
+  const Module parsed = parse_module(text);
+  EXPECT_EQ(fingerprint(parsed), fingerprint(w.module));
+  sim::Simulator s(parsed, sim::amd_like());
+  EXPECT_EQ(s.run().ret, w.expected_checksum);
+}
+
 TEST_P(ParserRoundTrip, OptimizedCodeAlsoRoundTrips) {
   // Optimized modules exercise annotations and shapes the raw builders
   // may not (compressed widths, prefetches, inlined frames).
@@ -52,6 +71,54 @@ TEST_P(ParserRoundTrip, OptimizedCodeAlsoRoundTrips) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, ParserRoundTrip,
                          ::testing::ValuesIn(wl::workload_names()),
                          [](const auto& info) { return info.param; });
+
+TEST(Parser, OneInitWordChangesTheFingerprint) {
+  const wl::Workload w = wl::make_workload("dijkstra");
+  GlobalId with_init = kNoGlobal;
+  for (std::size_t g = 0; g < w.module.globals().size(); ++g)
+    if (!w.module.globals()[g].init.empty())
+      with_init = static_cast<GlobalId>(g);
+  ASSERT_NE(with_init, kNoGlobal);
+  Module other = w.module;
+  other.global(with_init).init.back() += 1;
+  EXPECT_NE(fingerprint(other), fingerprint(w.module));
+
+  // Record-array field data counts too.
+  const wl::Workload l = wl::make_workload("linklist");
+  Module relinked = l.module;
+  bool changed = false;
+  for (std::size_t g = 0; g < relinked.globals().size() && !changed; ++g)
+    for (FieldInit& fi : relinked.global(static_cast<GlobalId>(g)).field_init)
+      if (!fi.values.empty()) {
+        fi.values.front() += 1;
+        changed = true;
+        break;
+      }
+  ASSERT_TRUE(changed);
+  EXPECT_NE(fingerprint(relinked), fingerprint(l.module));
+}
+
+TEST(Parser, RejectsMalformedInitializers) {
+  const std::string decls =
+      "module m ptr=8\n"
+      "record rec0 node {val:i64, next:ptr}\n"
+      "global @0 a count=2 width=8\n"
+      "global @1 nodes count=2 record=rec0\n";
+  EXPECT_NO_THROW(parse_module(decls + "init @0 1 2\n"
+                                       "field_init @1 0 5 6\n"
+                                       "field_init @1 1 target=@1 1 -1\n"));
+  for (const char* bad : {
+           "init @0 1 2 3\n",                       // more words than elements
+           "init @0 1\ninit @0 2 3\n",             // ... across chunks
+           "init @7 1\n",                           // undeclared global
+           "init @1 1\n",                           // record array
+           "field_init @0 0 1\n",                   // raw array
+           "field_init @1 1 1\n",                   // field out of order
+           "field_init @1 0 1\n",                   // only some fields
+           "field_init @1 0\nfield_init @1 1 target=@9 0\n",  // bad target
+       })
+    EXPECT_THROW(parse_module(decls + bad), support::CheckError) << bad;
+}
 
 TEST(Parser, HandlesEveryScalarOpcodeShape) {
   Module m;

@@ -1,9 +1,14 @@
 // Unit tests for the support substrate: RNG determinism and statistics,
-// hashing, thread pool / parallel_for, tables, CSV round-trips, strings.
+// hashing, thread pool / parallel_for, tables, CSV round-trips, strings,
+// and the single-flight LRU cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "support/assert.hpp"
@@ -12,6 +17,7 @@
 #include "support/failpoint.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "support/single_flight.hpp"
 #include "support/stats.hpp"
 #include "support/string_utils.hpp"
 #include "support/table.hpp"
@@ -375,6 +381,108 @@ TEST_F(FailpointTest, BlockParksUntilReleased) {
   Failpoints::instance().unset("site.block");
   t.join();
   EXPECT_TRUE(passed.load());
+}
+
+// --- SingleFlightCache ----------------------------------------------------
+// Stampedes (one computation per key under a burst) and LRU eviction are
+// covered through the evaluator memo and the decoded-program cache
+// (EvaluatorStampede.*, ProgramCache.*); these pin the remaining contract.
+
+TEST(SingleFlightCache, ThrowingLeaderHandsTheKeyToAWaitingFollower) {
+  SingleFlightCache<int, int> cache(4);
+  std::promise<void> leader_in;
+  std::promise<void> fail_leader;
+  std::shared_future<void> fail = fail_leader.get_future().share();
+  std::thread leader([&] {
+    EXPECT_THROW(cache.get_or_compute(1,
+                                      [&]() -> int {
+                                        leader_in.set_value();
+                                        fail.wait();
+                                        throw std::runtime_error("boom");
+                                      }),
+                 std::runtime_error);
+  });
+  leader_in.get_future().wait();
+  int got = 0;
+  std::thread follower([&] {
+    got = cache.get_or_compute(1, [] { return 42; });
+  });
+  // Give the follower time to block on the pending claim; the outcome
+  // below is the same if it arrives after the leader's failure instead.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  fail_leader.set_value();
+  leader.join();
+  follower.join();
+  EXPECT_EQ(got, 42);  // the follower led the retry, not inherited a throw
+  EXPECT_EQ(cache.find(1), 42);
+  EXPECT_EQ(cache.misses(), 2u);  // leader + follower-turned-leader
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(SingleFlightCache, CapacityZeroNeverEvicts) {
+  SingleFlightCache<int, int> cache(0);
+  for (int i = 0; i < 5000; ++i)
+    EXPECT_EQ(cache.get_or_compute(i, [i] { return 2 * i; }), 2 * i);
+  for (int i = 5000; i < 10000; ++i) cache.put(i, 2 * i);
+  EXPECT_EQ(cache.size(), 10000u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.find(0), 0);
+  EXPECT_EQ(cache.find(9999), 19998);
+  EXPECT_EQ(cache.get_or_compute(1, [] { return -1; }), 2);  // a hit
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 5000u);
+}
+
+TEST(SingleFlightCache, PutReplacesAndPromotes) {
+  static int evicted = 0;
+  SingleFlightCache<std::string, int> cache(2, [] { ++evicted; });
+  cache.put("a", 1);
+  cache.put("b", 2);
+  cache.put("a", 10);  // replaced and promoted: "b" is now least recent
+  EXPECT_EQ(cache.size(), 2u);
+  cache.put("c", 3);
+  EXPECT_EQ(cache.find("a"), 10);
+  EXPECT_EQ(cache.find("b"), std::nullopt);
+  EXPECT_EQ(cache.find("c"), 3);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(evicted, 1);
+  // A find() hit promotes as well: "c" was touched last, then "a".
+  EXPECT_EQ(cache.find("a"), 10);
+  cache.put("d", 4);
+  EXPECT_EQ(cache.find("c"), std::nullopt);
+  EXPECT_EQ(cache.find("a"), 10);
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(evicted, 2);
+}
+
+TEST(SingleFlightCache, ClearDuringComputeIsSurvived) {
+  SingleFlightCache<int, int> cache(4);
+  std::promise<void> leader_in;
+  std::promise<void> finish_leader;
+  std::shared_future<void> finish = finish_leader.get_future().share();
+  int leader_got = 0;
+  int follower_got = 0;
+  std::thread leader([&] {
+    leader_got = cache.get_or_compute(7, [&] {
+      leader_in.set_value();
+      finish.wait();
+      return 70;
+    });
+  });
+  leader_in.get_future().wait();
+  std::thread follower([&] {
+    follower_got = cache.get_or_compute(7, [] { return 70; });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(cache.size(), 1u);  // the pending claim
+  cache.clear();                // drops it and wakes the follower
+  finish_leader.set_value();
+  leader.join();
+  follower.join();
+  EXPECT_EQ(leader_got, 70);
+  EXPECT_EQ(follower_got, 70);
+  EXPECT_EQ(cache.find(7), 70);  // publishing re-inserted the dropped entry
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace
